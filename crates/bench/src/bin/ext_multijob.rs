@@ -1,14 +1,14 @@
 //! Extension harness: multi-job power sharing (the POWshed scenario of
 //! §VI, driven by CLIP's models).
 //!
-//! Several applications share the cluster and one budget. The multi-job
-//! coordinator assigns disjoint node sets by proportional-fairness hill
+//! Several applications share the cluster and one budget. The dispatcher's
+//! concurrent planner assigns disjoint node sets by proportional-fairness hill
 //! climbing on predicted throughput, then configures each job with the
 //! ordinary CLIP recommendation. Compared against equal sharing (nodes
 //! split evenly, all cores, naive DRAM pin).
 
-use clip_bench::{emit, HARNESS_SEED};
-use clip_core::{execute_concurrent, InflectionPredictor, MultiJobScheduler, SchedulePlan};
+use clip_bench::{clip_scheduler, emit};
+use clip_core::{execute_concurrent, Dispatcher, SchedulePlan};
 use cluster_sim::Cluster;
 use simkit::stats::geomean;
 use simkit::table::Table;
@@ -72,10 +72,9 @@ fn main() {
             let budget = Power::watts(budget_w);
             let cluster = Cluster::homogeneous(8);
 
-            let mut sched =
-                MultiJobScheduler::new(InflectionPredictor::train_default(HARNESS_SEED));
             let mut planning = cluster.clone();
-            let plans = sched.plan_concurrent(&mut planning, jobs, budget);
+            let plans =
+                Dispatcher::new(clip_scheduler(), budget).plan_concurrent(&mut planning, jobs);
             let mut exec = cluster.clone();
             let smart = execute_concurrent(&mut exec, jobs, &plans, 2, &mut clip_obs::NoopRecorder);
 

@@ -9,17 +9,29 @@
 //! CLIP pipeline plans it against exactly those free resources
 //! ([`crate::ClipScheduler::plan_constrained`]) — so a job arriving on a
 //! half-busy machine naturally gets fewer nodes with per-node budgets in
-//! its acceptable range, instead of waiting for the whole machine. An
-//! optional backfill mode lets later jobs jump a blocked head if they fit.
+//! its acceptable range, instead of waiting for the whole machine.
+//!
+//! Jobs that start together can instead be co-scheduled in one step
+//! ([`Dispatcher::plan_concurrent`]): the POWshed scenario of §VI driven by
+//! CLIP's models. Jobs get disjoint node sets, the node split is chosen by
+//! proportional-fairness hill climbing on the *predicted* per-job
+//! throughput (log-utility, the standard fairness objective), and each
+//! job's nodes are then configured by the ordinary CLIP recommendation at
+//! the resulting per-node budget. The search never executes the
+//! applications, in keeping with CLIP's no-exhaustive-search design.
 
 use crate::engine::EpochEngine;
-use crate::powerfit::FittedPowerModel;
-use crate::scheduler::{ClipScheduler, PowerScheduler, SchedulePlan};
+use crate::recommend::recommend_node_config;
+use crate::scheduler::{execute_plan, ClipScheduler, JobModels, PowerScheduler, SchedulePlan};
 use clip_serve::ArrivalPlan;
-use cluster_sim::Cluster;
+use cluster_sim::{Cluster, JobReport};
 use serde::{Deserialize, Serialize};
 use simkit::{Power, TimeSpan};
 use workload::AppModel;
+
+/// Below this much free power no job can start: the dispatcher waits for a
+/// completion, and service admission rejects a trial plan drawing less.
+pub(crate) const FREE_POWER_FLOOR: Power = Power::watts(50.0);
 
 /// A job submitted to the queue.
 #[derive(Debug, Clone)]
@@ -95,10 +107,6 @@ pub struct Dispatcher {
     scheduler: ClipScheduler,
     /// Total cluster power budget shared by everything running.
     pub budget: Power,
-    /// Allow jobs behind a blocked head to start if they fit (EASY-style
-    /// backfill without reservations — acceptable here because CLIP shrinks
-    /// jobs to fit rather than holding out for the full machine).
-    pub backfill: bool,
 }
 
 /// A job currently executing.
@@ -111,22 +119,20 @@ struct Running {
 impl Dispatcher {
     /// New dispatcher over a shared budget.
     pub fn new(scheduler: ClipScheduler, budget: Power) -> Self {
-        Self {
-            scheduler,
-            budget,
-            backfill: false,
-        }
+        Self { scheduler, budget }
     }
 
     /// Trim a plan's caps to what the job can actually draw: stranded
     /// watts in a generous grant would block the rest of the queue. The
     /// ceiling comes from the application's fitted power model at the
     /// highest frequency, with headroom for model error and variability.
-    fn trim_grant(&self, plan: &mut SchedulePlan, app: &AppModel) {
-        let Some(record) = self.scheduler.knowledge().get(app.name()) else {
+    /// The plan's own planning call cached the app's record, so this never
+    /// profiles.
+    fn trim_grant(&mut self, cluster: &mut Cluster, plan: &mut SchedulePlan, app: &AppModel) {
+        let Some(&probe) = plan.node_ids.first() else {
             return;
         };
-        let pm = FittedPowerModel::fit(&record.profile);
+        let pm = self.scheduler.job_models(cluster, app, probe).power;
         let cpu_need = pm.cpu_power(plan.threads_per_node, pm.f_max) * 1.10 + Power::watts(2.0);
         for caps in &mut plan.caps {
             *caps = simnode::PowerCaps::new(caps.cpu.min(cpu_need), caps.dram);
@@ -166,34 +172,30 @@ impl Dispatcher {
                 .recorder()
                 .enabled_for(clip_obs::EventClass::Scheduler),
         );
-        let mut pending: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-        let mut next_arrival = 0usize;
+        let mut arrivals = jobs.iter().peekable();
+        let mut pending: std::collections::VecDeque<&QueuedJob> = std::collections::VecDeque::new();
         let mut running: Vec<Running> = Vec::new();
         let mut outcomes = Vec::new();
         let mut now = TimeSpan::ZERO;
 
         loop {
             // Admit everything that has arrived by `now`.
-            while jobs.get(next_arrival).is_some_and(|j| j.arrival <= now) {
-                pending.push_back(next_arrival);
-                next_arrival += 1;
+            while let Some(job) = arrivals.next_if(|j| j.arrival <= now) {
+                pending.push_back(job);
             }
 
-            // Try to start queued jobs (FCFS; optionally scan past a
-            // blocked head).
-            let mut idx = 0;
-            while let Some(&job_idx) = pending.get(idx) {
-                let free_nodes: Vec<usize> = (0..cluster.len())
+            // Start queued jobs strictly in arrival order (FCFS).
+            while let Some(&job) = pending.front() {
+                let free_nodes: Vec<usize> = cluster
+                    .alive_nodes()
+                    .into_iter()
                     .filter(|id| !running.iter().any(|r| r.node_ids.contains(id)))
                     .collect();
                 let used_power: Power = running.iter().map(|r| r.power).sum();
                 let free_power = self.budget - used_power;
-                if free_nodes.is_empty() || free_power.as_watts() < 50.0 {
+                if free_nodes.is_empty() || free_power < FREE_POWER_FLOOR {
                     break; // nothing can start until something finishes
                 }
-                let Some(job) = jobs.get(job_idx) else {
-                    break; // pending holds valid job indices by construction
-                };
                 engine.set_epoch(outcomes.len() as u64);
                 let mut plan = engine.coordinate(
                     &mut self.scheduler,
@@ -203,7 +205,7 @@ impl Dispatcher {
                     &free_nodes,
                 );
                 debug_assert!(plan.within_budget(free_power));
-                self.trim_grant(&mut plan, &job.app);
+                self.trim_grant(cluster, &mut plan, &job.app);
                 // A plan always fits by construction; start the job.
                 let report = engine.execute(cluster, &job.app, &plan, job.iterations);
                 let finish = now + report.total_time;
@@ -238,14 +240,10 @@ impl Dispatcher {
                 outcomes.push(outcome);
                 running.push(Running {
                     finish,
-                    node_ids: plan.node_ids.clone(),
                     power: plan.total_caps(),
+                    node_ids: plan.node_ids,
                 });
-                pending.remove(idx);
-                let _ = plan;
-                if !self.backfill {
-                    idx = 0; // re-scan from the head after any start
-                } // with backfill, keep idx (element removed shifts next in)
+                pending.pop_front();
             }
 
             // Advance to the next event.
@@ -253,8 +251,8 @@ impl Dispatcher {
                 .iter()
                 .map(|r| r.finish)
                 .fold(TimeSpan::secs(f64::INFINITY), TimeSpan::min);
-            let next_arrive = jobs
-                .get(next_arrival)
+            let next_arrive = arrivals
+                .peek()
                 .map(|j| j.arrival)
                 .unwrap_or(TimeSpan::secs(f64::INFINITY));
             let next = next_finish.min(next_arrive);
@@ -310,18 +308,191 @@ impl Dispatcher {
         }
         self.run(cluster, &jobs, rec)
     }
+
+    /// Co-schedule `jobs` on the cluster's alive nodes under the shared
+    /// budget. Returns one plan per job, over pairwise-disjoint node sets
+    /// whose caps sum to at most the budget. Panics if there are more jobs
+    /// than alive nodes or no jobs at all.
+    pub fn plan_concurrent(
+        &mut self,
+        cluster: &mut Cluster,
+        jobs: &[AppModel],
+    ) -> Vec<SchedulePlan> {
+        assert!(!jobs.is_empty(), "need at least one job");
+        let alive = cluster.alive_nodes();
+        let n_total = alive.len();
+        assert!(jobs.len() <= n_total, "more jobs than nodes");
+        let probe = alive.first().copied().unwrap_or(0);
+        let total_cores = cluster.node(probe).topology().total_cores();
+        let budget = self.budget;
+
+        let models: Vec<JobModels> = jobs
+            .iter()
+            .map(|app| self.scheduler.job_models(cluster, app, probe))
+            .collect();
+
+        // Proportional-fairness hill climbing over node assignments:
+        // maximize Σ log(score_j) with Σ n_j ≤ N, n_j ≥ 1. The per-node
+        // budget is uniform: p = budget / Σ n_j.
+        let mut assign = vec![1usize; jobs.len()];
+        let utility = |assign: &[usize]| -> f64 {
+            let used: usize = assign.iter().sum();
+            let per_node = budget / used as f64;
+            assign
+                .iter()
+                .zip(&models)
+                .map(|(&n, m)| predicted_score(m, n, per_node, total_cores).ln())
+                .sum()
+        };
+        let mut best_u = utility(&assign);
+        loop {
+            let mut improved = false;
+            // Move 1: grow a job if free nodes remain.
+            let used: usize = assign.iter().sum();
+            if used < n_total {
+                for j in 0..jobs.len() {
+                    let mut cand = assign.clone();
+                    if let Some(n) = cand.get_mut(j) {
+                        *n += 1;
+                    }
+                    let u = utility(&cand);
+                    if u > best_u + 1e-9 {
+                        assign = cand;
+                        best_u = u;
+                        improved = true;
+                        break;
+                    }
+                }
+            }
+            // Move 2: transfer a node between jobs.
+            if !improved {
+                'transfer: for from in 0..jobs.len() {
+                    if assign.get(from).is_none_or(|&n| n <= 1) {
+                        continue;
+                    }
+                    for to in 0..jobs.len() {
+                        if to == from {
+                            continue;
+                        }
+                        let mut cand = assign.clone();
+                        if let Some(n) = cand.get_mut(from) {
+                            *n -= 1;
+                        }
+                        if let Some(n) = cand.get_mut(to) {
+                            *n += 1;
+                        }
+                        let u = utility(&cand);
+                        if u > best_u + 1e-9 {
+                            assign = cand;
+                            best_u = u;
+                            improved = true;
+                            break 'transfer;
+                        }
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+
+        // Materialize plans over disjoint runs of alive nodes.
+        let used: usize = assign.iter().sum();
+        let per_node = budget / used as f64;
+        let mut free = alive.into_iter();
+        assign
+            .iter()
+            .zip(&models)
+            .map(|(&n, m)| {
+                let cfg = recommend_node_config(
+                    &m.record.profile,
+                    &m.perf,
+                    &m.power,
+                    per_node,
+                    total_cores,
+                );
+                SchedulePlan {
+                    scheduler: "CLIP-multijob".to_string(),
+                    node_ids: free.by_ref().take(n).collect(),
+                    threads_per_node: cfg.threads,
+                    policy: cfg.policy,
+                    caps: vec![cfg.caps; n],
+                }
+            })
+            .collect()
+    }
+}
+
+/// Predicted relative throughput of one job given `nodes` at `per_node`
+/// budget (strong scaling: n / t_node).
+fn predicted_score(models: &JobModels, nodes: usize, per_node: Power, total_cores: usize) -> f64 {
+    let cfg = recommend_node_config(
+        &models.record.profile,
+        &models.perf,
+        &models.power,
+        per_node,
+        total_cores,
+    );
+    nodes as f64 / cfg.predicted_time
+}
+
+/// Execute concurrent plans (disjoint node sets run independently in the
+/// simulator) and return the per-job reports.
+///
+/// Each job goes through [`execute_plan`], the single actuation path,
+/// stamped with its index in `jobs`; a tracing recorder therefore sees
+/// each job's plan, RAPL programming and power samples under that index.
+pub fn execute_concurrent<R: clip_obs::Recorder>(
+    cluster: &mut Cluster,
+    jobs: &[AppModel],
+    plans: &[SchedulePlan],
+    iterations: usize,
+    rec: &mut R,
+) -> Vec<JobReport> {
+    assert_eq!(jobs.len(), plans.len());
+    // Verify disjointness — overlapping sets would share hardware, which
+    // the simulator does not model.
+    let mut seen = std::collections::HashSet::new();
+    for plan in plans {
+        for &id in &plan.node_ids {
+            assert!(seen.insert(id), "node {id} assigned to two jobs");
+        }
+    }
+    jobs.iter()
+        .zip(plans)
+        .enumerate()
+        .map(|(i, (app, plan))| execute_plan(cluster, app, plan, iterations, i as u64, rec))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mlr::InflectionPredictor;
+    use simkit::stats::geomean;
     use workload::suite;
 
     fn dispatcher(budget_w: f64) -> Dispatcher {
         let mut clip = ClipScheduler::new(InflectionPredictor::train_default(5));
         clip.coordinate_variability = false;
         Dispatcher::new(clip, Power::watts(budget_w))
+    }
+
+    /// Untraced shorthand — these tests exercise allocation semantics,
+    /// not telemetry.
+    fn execute_concurrent(
+        cluster: &mut Cluster,
+        jobs: &[AppModel],
+        plans: &[SchedulePlan],
+        iterations: usize,
+    ) -> Vec<JobReport> {
+        super::execute_concurrent(
+            cluster,
+            jobs,
+            plans,
+            iterations,
+            &mut clip_obs::NoopRecorder,
+        )
     }
 
     fn batch(apps: Vec<AppModel>) -> Vec<QueuedJob> {
@@ -488,5 +659,138 @@ mod tests {
             dispatcher(1000.0).run(&mut cluster, &jobs, &mut clip_obs::NoopRecorder)
         }));
         assert!(result.is_err(), "unsorted arrivals must be rejected");
+    }
+
+    #[test]
+    fn crashed_nodes_are_never_scheduled() {
+        for coordinate_variability in [true, false] {
+            let mut cluster = Cluster::homogeneous(8);
+            cluster.fail_node(0);
+            let mut clip = ClipScheduler::new(InflectionPredictor::train_default(5));
+            clip.coordinate_variability = coordinate_variability;
+            let report = Dispatcher::new(clip, Power::watts(1600.0)).run(
+                &mut cluster,
+                &batch(vec![suite::comd()]),
+                &mut clip_obs::NoopRecorder,
+            );
+            assert_eq!(report.outcomes.len(), 1);
+        }
+
+        let mut cluster = Cluster::homogeneous(4);
+        cluster.fail_node(0);
+        let jobs = vec![suite::comd(), suite::sp_mz()];
+        let plans = dispatcher(1200.0).plan_concurrent(&mut cluster, &jobs);
+        assert!(plans.iter().all(|p| !p.node_ids.contains(&0)));
+        let reports = execute_concurrent(&mut cluster, &jobs, &plans, 1);
+        assert!(reports.iter().all(|r| r.performance() > 0.0));
+    }
+
+    #[test]
+    fn plans_are_disjoint_and_within_budget() {
+        let mut cluster = Cluster::homogeneous(8);
+        let jobs = vec![suite::comd(), suite::lu_mz(), suite::sp_mz()];
+        let budget = Power::watts(1600.0);
+        let plans = dispatcher(1600.0).plan_concurrent(&mut cluster, &jobs);
+        assert_eq!(plans.len(), 3);
+        let total: Power = plans.iter().map(|p| p.total_caps()).sum();
+        assert!(total <= budget + Power::watts(1e-6), "caps {total}");
+        let mut all_ids = Vec::new();
+        for p in &plans {
+            assert!(p.nodes() >= 1);
+            all_ids.extend(p.node_ids.clone());
+        }
+        let unique: std::collections::HashSet<_> = all_ids.iter().collect();
+        assert_eq!(unique.len(), all_ids.len(), "node sets must be disjoint");
+    }
+
+    #[test]
+    fn scalable_jobs_get_more_nodes() {
+        let mut cluster = Cluster::homogeneous(8);
+        // CoMD scales linearly; SP-MZ is parabolic with a per-node optimum.
+        let jobs = vec![suite::comd(), suite::sp_mz()];
+        let plans = dispatcher(1800.0).plan_concurrent(&mut cluster, &jobs);
+        assert!(
+            plans[0].nodes() >= plans[1].nodes(),
+            "CoMD {} vs SP-MZ {}",
+            plans[0].nodes(),
+            plans[1].nodes()
+        );
+    }
+
+    #[test]
+    fn concurrent_execution_respects_budget() {
+        let mut cluster = Cluster::homogeneous(8);
+        let jobs = vec![suite::amg(), suite::tea_leaf()];
+        let budget = Power::watts(1200.0);
+        let plans = dispatcher(1200.0).plan_concurrent(&mut cluster, &jobs);
+        let reports = execute_concurrent(&mut cluster, &jobs, &plans, 2);
+        let total: Power = reports.iter().map(|r| r.cluster_power).sum();
+        assert!(total <= budget + Power::watts(2.0), "measured {total}");
+        assert!(reports.iter().all(|r| r.performance() > 0.0));
+    }
+
+    #[test]
+    fn beats_equal_share_on_mixed_workloads() {
+        // Equal-share: nodes split evenly, all cores, naive 30 W DRAM pin.
+        let cluster = Cluster::homogeneous(8);
+        let jobs = vec![suite::comd(), suite::sp_mz()];
+        let budget = Power::watts(1400.0);
+
+        let mut planning = cluster.clone();
+        let plans = dispatcher(1400.0).plan_concurrent(&mut planning, &jobs);
+        let mut exec = cluster.clone();
+        let smart = execute_concurrent(&mut exec, &jobs, &plans, 2);
+
+        let equal_plans: Vec<SchedulePlan> = (0..2)
+            .map(|j| {
+                let per_node = budget / 8.0;
+                let dram = 30.0f64.min(per_node.as_watts() * 0.5);
+                SchedulePlan {
+                    scheduler: "equal-share".into(),
+                    node_ids: (j * 4..(j + 1) * 4).collect(),
+                    threads_per_node: 24,
+                    policy: simnode::AffinityPolicy::Compact,
+                    caps: vec![
+                        simnode::PowerCaps::new(
+                            Power::watts(per_node.as_watts() - dram),
+                            Power::watts(dram),
+                        );
+                        4
+                    ],
+                }
+            })
+            .collect();
+        let mut exec = cluster.clone();
+        let naive = execute_concurrent(&mut exec, &jobs, &equal_plans, 2);
+
+        let smart_score = geomean(
+            &smart
+                .iter()
+                .zip(&naive)
+                .map(|(s, n)| s.performance() / n.performance())
+                .collect::<Vec<_>>(),
+        );
+        assert!(
+            smart_score > 1.0,
+            "multi-job CLIP should beat equal share (geomean ratio {smart_score:.3})"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "more jobs than nodes")]
+    fn too_many_jobs_rejected() {
+        let mut cluster = Cluster::homogeneous(2);
+        let jobs = vec![suite::comd(), suite::amg(), suite::lu_mz()];
+        dispatcher(600.0).plan_concurrent(&mut cluster, &jobs);
+    }
+
+    #[test]
+    #[should_panic(expected = "assigned to two jobs")]
+    fn overlapping_plans_rejected() {
+        let mut cluster = Cluster::homogeneous(4);
+        let jobs = vec![suite::comd(), suite::amg()];
+        let mut plans = dispatcher(900.0).plan_concurrent(&mut cluster, &jobs);
+        plans[1].node_ids = plans[0].node_ids.clone();
+        execute_concurrent(&mut cluster, &jobs, &plans, 1);
     }
 }

@@ -2,10 +2,8 @@
 //! one place.
 //!
 //! The paper's contribution is a single loop — measure → coordinate →
-//! allocate → actuate → audit (Algorithm 1, Eqs. 4–9) — yet the repo grew
-//! four copies of it (`degrade`, `dispatch`, `multijob`, `phased`), each
-//! with a parallel `_obs` telemetry twin. [`EpochEngine`] collapses them:
-//! it owns the canonical per-epoch cycle
+//! allocate → actuate → audit (Algorithm 1, Eqs. 4–9). [`EpochEngine`]
+//! owns that canonical per-epoch cycle in one place:
 //!
 //! 1. policy boundary — external events fire ([`EpochPolicy::epoch_boundary`]:
 //!    faults, arrivals, phase switches), possibly degrading the live plan;
@@ -20,14 +18,16 @@
 //! 6. trace/metric emission, gated on [`Recorder::enabled`].
 //!
 //! What differs between callers is a policy: fault handling + TTR
-//! accounting ([`crate::degrade::FaultTimeline`]), job arbitration
-//! (`dispatch`/`multijob` drive [`EpochEngine::coordinate`] and
-//! [`EpochEngine::execute`] directly), and epoch-level phase transitions
-//! ([`PhaseSchedule`]). The recorder is a generic parameter end-to-end:
+//! accounting ([`crate::degrade::FaultTimeline`]) and the service's
+//! admission, preemption and autoscaling
+//! ([`crate::service::ServiceTimeline`]). The queue dispatcher
+//! ([`crate::dispatch`]) needs no epoch loop: it drives
+//! [`EpochEngine::coordinate`] and [`EpochEngine::execute`] directly, one
+//! pair per job start. The recorder is a generic parameter end-to-end:
 //! with [`NoopRecorder`] every hook compiles away, and a borrowed
 //! `&mut TraceRecorder` works through the blanket `Recorder for &mut R`
-//! impl. The golden FNV trace pin and the bit-identical replay tests prove
-//! the engine reproduces the pre-refactor harness byte for byte.
+//! impl. The golden FNV trace pin and the bit-identical replay tests pin
+//! the engine's output byte for byte.
 
 use crate::audit::{ActuationCheck, BudgetLedger};
 use crate::scheduler::{execute_plan, PowerScheduler, SchedulePlan};
@@ -292,60 +292,6 @@ pub trait EpochPolicy<R: Recorder> {
 pub struct SteadyState;
 
 impl<R: Recorder> EpochPolicy<R> for SteadyState {}
-
-/// Epoch-level phase transitions: the workload switches model at fixed
-/// epoch boundaries (e.g. a solver alternating assembly and sweep stages),
-/// and the engine re-coordinates at every switch — the `phased`
-/// recommendation path expressed as an engine policy.
-///
-/// Stages are `(first_epoch, app)` pairs; epochs before the first stage
-/// run the base app. Within-iteration phase concurrency stays node-level
-/// (`workload::execute_phased`); this policy covers transitions at the
-/// coordination-epoch scale, where re-planning is warranted.
-#[derive(Debug, Clone)]
-pub struct PhaseSchedule {
-    stages: Vec<(usize, AppModel)>,
-}
-
-impl PhaseSchedule {
-    /// Build from `(first_epoch, app)` stages; sorted by starting epoch so
-    /// construction order never matters.
-    pub fn new(mut stages: Vec<(usize, AppModel)>) -> Self {
-        stages.sort_by_key(|&(start, _)| start);
-        Self { stages }
-    }
-
-    /// True when a stage starts exactly at `epoch`.
-    fn switches_at(&self, epoch: usize) -> bool {
-        self.stages.iter().any(|&(start, _)| start == epoch)
-    }
-}
-
-impl<R: Recorder> EpochPolicy<R> for PhaseSchedule {
-    fn epoch_boundary(
-        &mut self,
-        _cluster: &mut Cluster,
-        _scheduler: &mut dyn PowerScheduler,
-        _plan: &mut SchedulePlan,
-        epoch: usize,
-        _rec: &mut R,
-    ) -> Boundary {
-        // The epoch-0 plan is already coordinated for the first stage's
-        // app, so only later switches force an immediate re-plan.
-        Boundary {
-            replan_now: epoch > 0 && self.switches_at(epoch),
-            ..Boundary::quiet()
-        }
-    }
-
-    fn app_for_epoch(&self, epoch: usize) -> Option<&AppModel> {
-        self.stages
-            .iter()
-            .rev()
-            .find(|&&(start, _)| start <= epoch)
-            .map(|(_, app)| app)
-    }
-}
 
 /// Mutable state threaded through one engine run: the live plan plus the
 /// accumulating report fields.
@@ -857,48 +803,8 @@ mod tests {
     }
 
     #[test]
-    fn phase_schedule_replans_at_each_stage_switch() {
-        let mut cluster = Cluster::paper_testbed(7);
-        let mut sched = clip();
-        // Stage 0 is compute-bound, stage 2 switches to a memory-bound
-        // model with a different best configuration.
-        let base = suite::comd();
-        let mut policy = PhaseSchedule::new(vec![(2, suite::lu_mz())]);
-        let cfg = FaultHarnessConfig {
-            epochs: 4,
-            iterations_per_epoch: 1,
-        };
-        let report = EpochEngine::new(Power::watts(1500.0), NoopRecorder).run(
-            &mut sched,
-            &mut cluster,
-            &base,
-            &mut policy,
-            &cfg,
-        );
-        assert_eq!(report.epochs.len(), 4);
-        assert!(!report.epochs[1].replanned);
-        assert!(report.epochs[2].replanned, "stage switch must re-plan");
-        assert!(!report.epochs[3].replanned, "no switch, no re-plan");
-        assert!(report.recoveries.is_empty(), "a phase switch loses nothing");
-    }
-
-    #[test]
-    fn phase_schedule_selects_the_stage_app() {
-        let policy = PhaseSchedule::new(vec![(3, suite::lu_mz()), (1, suite::amg())]);
-        let p = |e: usize| {
-            <PhaseSchedule as EpochPolicy<NoopRecorder>>::app_for_epoch(&policy, e)
-                .map(|a| a.name().to_string())
-        };
-        assert_eq!(p(0), None, "before the first stage the base app runs");
-        assert_eq!(p(1).as_deref(), Some("AMG"));
-        assert_eq!(p(2).as_deref(), Some("AMG"));
-        assert_eq!(p(3).as_deref(), Some("LU-MZ"));
-        assert_eq!(p(9).as_deref(), Some("LU-MZ"));
-    }
-
-    #[test]
     fn coordinate_and_execute_primitives_compose() {
-        // The dispatcher/multijob shape: coordinate over a pool, then
+        // The dispatcher's shape: coordinate over a pool, then
         // actuate+execute the grant — without the full epoch loop.
         let mut cluster = Cluster::paper_testbed(7);
         let mut sched = clip();

@@ -29,20 +29,24 @@
 //! `baselines` crate) also implement, and [`knowledge::KnowledgeDb`] caches
 //! profiles so repeat jobs skip the profiling runs (§IV-B3).
 //!
-//! Four extensions go beyond the paper's evaluation while staying inside
-//! its design space: [`phased`] recommends per-phase concurrency (the §V-B
+//! Extensions go beyond the paper's evaluation while staying inside its
+//! design space: [`phased`] recommends per-phase concurrency (the §V-B
 //! BT-MZ treatment, generalized); [`runtime`] coordinates power for jobs
 //! with user-pinned node/thread counts (the §VII future-work item);
-//! [`multijob`] shares one budget across concurrent jobs (the POWshed
-//! scenario of §VI, driven by CLIP's models); and [`degrade`] replays
-//! seeded fault timelines (`cluster_sim::faults`) against any scheduler,
-//! re-running Algorithm 1 over the survivors whenever the pool degrades.
+//! [`dispatch`] is the §IV-B3 job scheduler — an FCFS power-bounded queue
+//! that also co-schedules concurrent jobs on one budget (the POWshed
+//! scenario of §VI, driven by CLIP's models); [`degrade`] replays seeded
+//! fault timelines (`cluster_sim::faults`) against any scheduler,
+//! re-running Algorithm 1 over the survivors whenever the pool degrades;
+//! and [`service`] runs an open-loop multi-tenant workload with admission,
+//! preemption and autoscaling.
 //!
-//! All of them drive one mechanism: [`engine::EpochEngine`], the
-//! recorder-generic owner of the canonical per-epoch cycle (fault
+//! The multi-epoch harnesses drive one mechanism: [`engine::EpochEngine`],
+//! the recorder-generic owner of the canonical per-epoch cycle (fault
 //! application → re-coordination → planning → RAPL/DVFS actuation → job
-//! execution → ledger audit → trace emission). The harnesses above are
-//! thin [`engine::EpochPolicy`] configurations of it.
+//! execution → ledger audit → trace emission). The fault and service
+//! harnesses are [`engine::EpochPolicy`] configurations of it; the
+//! dispatcher calls its coordinate and execute primitives per job.
 
 pub mod allocate;
 pub mod audit;
@@ -53,7 +57,6 @@ pub mod engine;
 pub mod hierarchy;
 pub mod knowledge;
 pub mod mlr;
-pub mod multijob;
 pub mod perfmodel;
 pub mod phased;
 pub mod powerfit;
@@ -69,10 +72,9 @@ pub mod validate;
 pub use allocate::{choose_node_count, NodeBudgetRange};
 pub use audit::{ActuationCheck, BudgetLedger};
 pub use degrade::{run_with_faults, FaultTimeline};
-pub use dispatch::{DispatchReport, Dispatcher, QueuedJob};
+pub use dispatch::{execute_concurrent, DispatchReport, Dispatcher, QueuedJob};
 pub use engine::{
-    Boundary, EpochEngine, EpochPolicy, FaultHarnessConfig, FaultRunReport, PhaseSchedule,
-    SteadyState,
+    Boundary, EpochEngine, EpochPolicy, FaultHarnessConfig, FaultRunReport, SteadyState,
 };
 pub use hierarchy::{
     run_sharded, run_sharded_service, BudgetArbiter, RackFault, RackReport, RackTimeline,
@@ -80,7 +82,6 @@ pub use hierarchy::{
 };
 pub use knowledge::KnowledgeDb;
 pub use mlr::InflectionPredictor;
-pub use multijob::{execute_concurrent, MultiJobScheduler};
 pub use perfmodel::NodePerfModel;
 pub use powerfit::FittedPowerModel;
 pub use profile::{ProfileData, SampleRun, SmartProfiler};

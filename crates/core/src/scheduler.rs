@@ -174,6 +174,14 @@ pub fn execute_plan<R: clip_obs::Recorder>(
     run_job(cluster, &spec, epoch, rec)
 }
 
+/// One application's knowledge-database record and the models fitted from
+/// it — everything planning needs to predict the app at any configuration.
+pub(crate) struct JobModels {
+    pub(crate) record: KnowledgeRecord,
+    pub(crate) perf: NodePerfModel,
+    pub(crate) power: FittedPowerModel,
+}
+
 /// The CLIP scheduler (paper Algorithm 1).
 ///
 /// ```
@@ -270,6 +278,25 @@ impl ClipScheduler {
         self.db.insert(record.clone());
         record
     }
+
+    /// The app's record (profiled on `probe` on a cache miss, as in
+    /// [`Self::record_for`]) with its fitted performance and power models —
+    /// the one profile → predict → fit pipeline every CLIP planner uses.
+    pub(crate) fn job_models(
+        &mut self,
+        cluster: &mut Cluster,
+        app: &AppModel,
+        probe: usize,
+    ) -> JobModels {
+        let record = self.record_for(cluster, app, probe);
+        let perf = NodePerfModel::from_profile(&record.profile, record.np);
+        let power = FittedPowerModel::fit(&record.profile);
+        JobModels {
+            record,
+            perf,
+            power,
+        }
+    }
 }
 
 impl ClipScheduler {
@@ -292,17 +319,15 @@ impl ClipScheduler {
         }
         let probe = allowed_nodes.first().copied().unwrap_or(0);
         let total_cores = cluster.node(probe).topology().total_cores();
-        let record = self.record_for(cluster, app, probe);
-        let perf_model = NodePerfModel::from_profile(&record.profile, record.np);
-        let power_model = FittedPowerModel::fit(&record.profile);
+        let models = self.job_models(cluster, app, probe);
 
         let allocation = allocate_cluster(
             budget,
             allowed_nodes.len(),
             app.preferred_node_counts(),
-            &record.profile,
-            &perf_model,
-            &power_model,
+            &models.record.profile,
+            &models.perf,
+            &models.power,
             total_cores,
         );
         let n = allocation.nodes;

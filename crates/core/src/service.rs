@@ -31,6 +31,7 @@
 //! which `tests/replay.rs` pins.
 
 use crate::audit::BudgetLedger;
+use crate::dispatch::FREE_POWER_FLOOR;
 use crate::engine::{Boundary, EpochEngine, EpochPolicy, FaultHarnessConfig, FaultRunReport};
 use crate::scheduler::{PowerScheduler, SchedulePlan};
 use clip_obs::{EventClass, Recorder, TraceEvent};
@@ -43,10 +44,6 @@ use simkit::{Power, TimeSpan};
 use simnode::PowerCaps;
 use std::collections::VecDeque;
 use workload::AppModel;
-
-/// Minimum watts a trial plan must be able to draw before admission
-/// considers it feasible (mirrors the dispatcher's free-power floor).
-const FREE_POWER_FLOOR: Power = Power::watts(50.0);
 
 /// Grant changes smaller than this are noise, not re-splits.
 const GRANT_TOLERANCE: Power = Power::watts(1e-9);

@@ -2,75 +2,17 @@
 //!
 //! "It includes several customized system tools such as a power meter
 //! reader, a RAPL and DVFS power controller, and a performance event
-//! collector." These are the small utilities the smart-profiling and
-//! application-execution modules script against:
+//! collector." In the simulator the power meter and the event collector
+//! are the node's own RAPL registers and PMU counters, which every
+//! execution reports directly; what remains is the DVFS controller:
 //!
-//! - [`PowerMeterReader`]: windowed average power from raw RAPL energy
-//!   registers, wraparound included — the measurement loop a daemon would
-//!   run against `/sys/class/powercap`.
 //! - [`DvfsController`]: pin an application to a target P-state through the
 //!   cap interface (pick the cap that makes the resolved frequency equal
-//!   the target) — how the profiler collects fixed-frequency samples
-//!   (Figure 2) without a `cpufreq` backdoor.
-//! - [`EventCollector`]: accumulate PMU counters across executions and
-//!   expose aggregate rates.
+//!   the target) — how the Figure 2 fixed-frequency samples are collected
+//!   without a `cpufreq` backdoor.
 
-use cluster_sim::Cluster;
-use simkit::{Frequency, Power, TimeSpan};
-use simnode::{AffinityPolicy, EventCounters, Node, NodeWorkload, PowerCaps};
-
-/// Windowed power measurement from raw RAPL energy registers.
-#[derive(Debug, Clone)]
-pub struct PowerMeterReader {
-    last_pkg_raw: u32,
-    last_dram_raw: u32,
-    last_elapsed: TimeSpan,
-}
-
-/// One power reading window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerReading {
-    /// Average package power over the window.
-    pub pkg: Power,
-    /// Average DRAM power over the window.
-    pub dram: Power,
-    /// Window length.
-    pub window: TimeSpan,
-}
-
-impl PowerMeterReader {
-    /// Latch the current registers of a node as the window start.
-    pub fn attach(node: &Node) -> Self {
-        Self {
-            last_pkg_raw: node.rapl_pkg_raw(),
-            last_dram_raw: node.rapl_dram_raw(),
-            last_elapsed: node.rapl_elapsed(),
-        }
-    }
-
-    /// Read the window since the last call (or attach) and re-latch.
-    /// Returns `None` when no simulated time has passed.
-    pub fn read(&mut self, node: &Node) -> Option<PowerReading> {
-        let window = node.rapl_elapsed() - self.last_elapsed;
-        if window.as_secs() <= 0.0 {
-            return None;
-        }
-        let pkg = simnode::rapl::RaplController::average_power(
-            self.last_pkg_raw,
-            node.rapl_pkg_raw(),
-            window,
-        );
-        let dram = simnode::rapl::RaplController::average_power(
-            self.last_dram_raw,
-            node.rapl_dram_raw(),
-            window,
-        );
-        self.last_pkg_raw = node.rapl_pkg_raw();
-        self.last_dram_raw = node.rapl_dram_raw();
-        self.last_elapsed = node.rapl_elapsed();
-        Some(PowerReading { pkg, dram, window })
-    }
-}
+use simkit::{Frequency, Power};
+use simnode::{AffinityPolicy, Node, NodeWorkload, PowerCaps};
 
 /// Frequency pinning through the cap interface.
 #[derive(Debug, Clone, Copy, Default)]
@@ -109,91 +51,12 @@ impl DvfsController {
     pub fn unpin(node: &mut Node) {
         node.set_caps(PowerCaps::unlimited());
     }
-
-    /// Pin every node of a cluster.
-    pub fn pin_cluster<W: NodeWorkload + ?Sized>(
-        cluster: &mut Cluster,
-        workload: &W,
-        threads: usize,
-        policy: AffinityPolicy,
-        target: Frequency,
-    ) {
-        for i in 0..cluster.len() {
-            Self::pin_frequency(cluster.node_mut(i), workload, threads, policy, target);
-        }
-    }
-}
-
-/// Accumulates PMU counters across executions (§IV-B4's "performance event
-/// collector").
-#[derive(Debug, Clone, Default)]
-pub struct EventCollector {
-    total: EventCounters,
-    runs: usize,
-}
-
-impl EventCollector {
-    /// Fresh collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one execution's counters in.
-    pub fn record(&mut self, counters: &EventCounters) {
-        self.total.accumulate(counters);
-        self.runs += 1;
-    }
-
-    /// Number of recorded executions.
-    pub fn runs(&self) -> usize {
-        self.runs
-    }
-
-    /// The accumulated counters.
-    pub fn total(&self) -> &EventCounters {
-        &self.total
-    }
-
-    /// Aggregate Table-I rate features over everything recorded.
-    pub fn rates(&self) -> [f64; 7] {
-        self.total.rate_features()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use workload::suite;
-
-    #[test]
-    fn power_meter_matches_report() {
-        let mut node = Node::haswell();
-        let app = suite::amg();
-        let mut meter = PowerMeterReader::attach(&node);
-        let report = node.execute(&app, 24, AffinityPolicy::Scatter, 3);
-        let reading = meter.read(&node).expect("time passed");
-        assert!(
-            (reading.pkg.as_watts() - report.avg_pkg_power.as_watts()).abs() < 0.1,
-            "meter {} vs report {}",
-            reading.pkg,
-            report.avg_pkg_power
-        );
-        assert!((reading.dram.as_watts() - report.avg_dram_power.as_watts()).abs() < 0.1);
-        // Window re-latches: a second read with no execution is None.
-        assert!(meter.read(&node).is_none());
-    }
-
-    #[test]
-    fn power_meter_across_multiple_runs() {
-        let mut node = Node::haswell();
-        let app = suite::comd();
-        let mut meter = PowerMeterReader::attach(&node);
-        let _ = node.execute(&app, 24, AffinityPolicy::Compact, 1);
-        let _ = node.execute(&app, 12, AffinityPolicy::Compact, 1);
-        let reading = meter.read(&node).expect("time passed");
-        // The blended average sits between the two runs' powers.
-        assert!(reading.pkg.as_watts() > 100.0 && reading.pkg.as_watts() < 250.0);
-    }
 
     #[test]
     fn dvfs_pin_hits_every_ladder_state() {
@@ -221,24 +84,5 @@ mod tests {
             AffinityPolicy::Compact,
             Frequency::ghz(2.35),
         );
-    }
-
-    #[test]
-    fn collector_accumulates() {
-        let mut node = Node::haswell();
-        let app = suite::lu_mz();
-        let mut collector = EventCollector::new();
-        let r1 = node.execute(&app, 24, AffinityPolicy::Scatter, 1);
-        let r2 = node.execute(&app, 24, AffinityPolicy::Scatter, 1);
-        collector.record(&r1.counters);
-        collector.record(&r2.counters);
-        assert_eq!(collector.runs(), 2);
-        let total = collector.total();
-        assert!(
-            (total.instructions - r1.counters.instructions - r2.counters.instructions).abs() < 1.0
-        );
-        // Rates over identical runs equal the single-run rates.
-        let rates = collector.rates();
-        assert!((rates[1] - r1.counters.rate_features()[1]).abs() < 1e-9);
     }
 }

@@ -1,8 +1,9 @@
 //! Property-based stress tests for the queue dispatcher: random job
-//! streams must never violate the resource invariants.
+//! streams and co-scheduled job mixes must never violate the resource
+//! invariants.
 
 use clip_core::dispatch::{Dispatcher, QueuedJob};
-use clip_core::{ClipScheduler, InflectionPredictor};
+use clip_core::{execute_concurrent, ClipScheduler, InflectionPredictor};
 use cluster_sim::Cluster;
 use proptest::prelude::*;
 use simkit::{Power, SimRng, TimeSpan};
@@ -14,17 +15,22 @@ fn predictor() -> &'static InflectionPredictor {
     PRED.get_or_init(|| InflectionPredictor::train_default(5))
 }
 
+/// One random corpus application of any scalability class.
+fn random_app(rng: &mut SimRng, i: usize) -> workload::AppModel {
+    match rng.uniform_usize(0, 2) {
+        0 => corpus::gen_linear(rng, i),
+        1 => corpus::gen_logarithmic(rng, i),
+        _ => corpus::gen_parabolic(rng, i),
+    }
+}
+
 /// Build a sorted random job stream.
 fn stream(seed: u64, count: usize, max_gap: f64) -> Vec<QueuedJob> {
     let mut rng = SimRng::seed_from_u64(seed);
     let mut t = 0.0;
     (0..count)
         .map(|i| {
-            let app = match rng.uniform_usize(0, 2) {
-                0 => corpus::gen_linear(&mut rng, i),
-                1 => corpus::gen_logarithmic(&mut rng, i),
-                _ => corpus::gen_parabolic(&mut rng, i),
-            };
+            let app = random_app(&mut rng, i);
             // Unique names keep the knowledge DB per-job.
             let app = app.with_preferred_node_counts(vec![1, 2, 4]);
             t += rng.uniform_range(0.0, max_gap);
@@ -99,7 +105,7 @@ proptest! {
         }
     }
 
-    /// FCFS without backfill: a job never starts before an earlier-arriving
+    /// FCFS: a job never starts before an earlier-arriving
     /// job has started.
     #[test]
     fn fcfs_start_order(seed in any::<u64>(), count in 2usize..8) {
@@ -122,6 +128,42 @@ proptest! {
                 w[0].start <= w[1].start + TimeSpan::secs(1e-9),
                 "FCFS violated: {:?} started after {:?}", w[0], w[1]
             );
+        }
+    }
+
+    /// Co-scheduled mixes: whatever the mix, budget and crashed node, the
+    /// plans hold pairwise-disjoint sets of alive nodes (at least one
+    /// each), their caps fit the budget, and every job makes progress.
+    #[test]
+    fn concurrent_plans_fit(seed in any::<u64>(), count in 1usize..=4,
+                            budget_w in 700.0f64..2200.0, crash in 0usize..12)
+    {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let jobs: Vec<workload::AppModel> = (0..count).map(|i| random_app(&mut rng, i)).collect();
+        let mut cluster = Cluster::homogeneous(8);
+        // Draws of 8..12 leave the fleet intact.
+        if crash < cluster.len() {
+            cluster.fail_node(crash);
+        }
+        let budget = Power::watts(budget_w);
+        let mut d = Dispatcher::new(ClipScheduler::new(predictor().clone()), budget);
+        let plans = d.plan_concurrent(&mut cluster, &jobs);
+
+        prop_assert_eq!(plans.len(), count);
+        let mut seen = std::collections::BTreeSet::new();
+        for plan in &plans {
+            prop_assert!(plan.nodes() >= 1, "empty plan {:?}", plan);
+            for &id in &plan.node_ids {
+                prop_assert!(cluster.is_alive(id), "plan uses crashed node {}", id);
+                prop_assert!(seen.insert(id), "node {} in two plans", id);
+            }
+        }
+        let caps: Power = plans.iter().map(|p| p.total_caps()).sum();
+        prop_assert!(caps <= budget + Power::watts(1e-6), "caps {} exceed budget {}", caps, budget);
+
+        let reports = execute_concurrent(&mut cluster, &jobs, &plans, 1, &mut clip_obs::NoopRecorder);
+        for r in &reports {
+            prop_assert!(r.performance() > 0.0);
         }
     }
 }

@@ -49,8 +49,8 @@ pub const ENTRY_METHODS: [&str; 2] = ["plan", "plan_subset"];
 
 /// The engine owning the canonical epoch cycle: its public cycle methods
 /// root the replay-critical subgraph directly, so harnesses that call the
-/// engine without going through `run_with_faults` (the dispatcher,
-/// multijob) stay inside the determinism and blast-radius passes.
+/// engine without going through `run_with_faults` (the queue dispatcher)
+/// stay inside the determinism and blast-radius passes.
 pub const ENTRY_ENGINE_TYPE: &str = "EpochEngine";
 
 /// Entry-point method names on [`ENTRY_ENGINE_TYPE`] — the monolithic

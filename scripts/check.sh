@@ -86,6 +86,13 @@ fi
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+# The benchmark is a workspace of its own that compiles against core's
+# public API (ServiceTimeline::new, EpochPolicy, the engine's phase
+# methods, run_sharded*): build and test it here so an API break fails CI
+# instead of the benchmark run.
+echo "==> perfbench tests"
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 # Gate the full fault-injection path end to end: scheduler -> fault plan ->
 # degraded epoch -> re-coordination -> ledger classification. The smoke
 # plan (4 nodes, one crash, 3 epochs) keeps this well under five seconds.

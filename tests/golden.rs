@@ -453,3 +453,256 @@ fn golden_uncapped_performance() {
         );
     }
 }
+
+/// Queue-dispatch pins: the `ext_queue` submission stream (six Table II
+/// jobs on half-machine decompositions, staggered arrivals) through the
+/// FCFS dispatcher at 1500 W on 8 homogeneous nodes. Each outcome is
+/// `(job, start s, finish s, nodes, threads, grant W)` in completion
+/// order; the whole report is a pure function of the stream and seed.
+#[test]
+fn golden_queue_dispatch() {
+    use clip_core::dispatch::{Dispatcher, QueuedJob};
+    use clip_core::ClipScheduler;
+    use cluster_sim::Cluster;
+    use simkit::{Power, TimeSpan};
+
+    let mk = |app: workload::AppModel, t: f64| QueuedJob {
+        app: app.with_preferred_node_counts(vec![1, 2, 4]),
+        arrival: TimeSpan::secs(t),
+        iterations: 3,
+    };
+    let jobs = vec![
+        mk(suite::comd(), 0.0),
+        mk(suite::sp_mz(), 0.0),
+        mk(suite::lu_mz(), 2.0),
+        mk(suite::tea_leaf(), 4.0),
+        mk(suite::amg(), 6.0),
+        mk(suite::mini_aero(), 8.0),
+    ];
+    let mut clip = ClipScheduler::new(InflectionPredictor::train_default(5));
+    clip.coordinate_variability = false;
+    let mut cluster = Cluster::homogeneous(8);
+    let report = Dispatcher::new(clip, Power::watts(1500.0)).run(
+        &mut cluster,
+        &jobs,
+        &mut clip_obs::NoopRecorder,
+    );
+
+    let expected: &[(&str, f64, f64, usize, usize, f64)] = &[
+        ("CoMD", 0.0, 3.073218892050729, 4, 24, 1119.1684094440911),
+        (
+            "LU-MZ",
+            3.073218892050729,
+            5.331813257346682,
+            4,
+            24,
+            985.452168,
+        ),
+        ("SP-MZ", 0.0, 7.496059267477416, 4, 10, 380.83159055590886),
+        (
+            "TeaLeaf",
+            5.331813257346682,
+            8.75192806008168,
+            4,
+            14,
+            703.166355,
+        ),
+        (
+            "AMG",
+            7.496059267477416,
+            10.726330636555778,
+            4,
+            24,
+            796.833645,
+        ),
+        (
+            "miniAero",
+            8.75192806008168,
+            15.064010271470575,
+            4,
+            12,
+            604.8813282857142,
+        ),
+    ];
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
+    assert_eq!(report.outcomes.len(), expected.len());
+    for (o, &(job, start, finish, nodes, threads, grant)) in report.outcomes.iter().zip(expected) {
+        assert_eq!(o.job, job, "completion order drifted");
+        assert!(
+            close(o.start.as_secs(), start),
+            "{job}: start {:?}",
+            o.start
+        );
+        assert!(
+            close(o.finish.as_secs(), finish),
+            "{job}: finish {:?}",
+            o.finish
+        );
+        assert_eq!(
+            (o.nodes, o.threads),
+            (nodes, threads),
+            "{job}: shape drifted"
+        );
+        assert!(
+            close(o.granted_power.as_watts(), grant),
+            "{job}: grant {}",
+            o.granted_power
+        );
+    }
+    assert!(close(report.makespan.as_secs(), 15.064010271470575));
+}
+
+/// Concurrent-job pins: the `ext_multijob` proportional-fairness split for
+/// the compute+parabolic pair and the four-way mix at 1200 W and 1800 W on
+/// 8 homogeneous nodes. Each plan is `(node ids, threads, per-node CPU cap
+/// W, per-node DRAM cap W)` and is followed by the job's measured
+/// iterations per second when the plans run side by side.
+#[test]
+fn golden_concurrent_plans() {
+    use clip_core::{execute_concurrent, ClipScheduler, Dispatcher, SchedulePlan};
+    use cluster_sim::Cluster;
+    use simkit::Power;
+
+    fn plan_mix(
+        cluster: &mut Cluster,
+        jobs: &[workload::AppModel],
+        budget: Power,
+    ) -> Vec<SchedulePlan> {
+        let clip = ClipScheduler::new(InflectionPredictor::train_default(5));
+        Dispatcher::new(clip, budget).plan_concurrent(cluster, jobs)
+    }
+
+    type Pin = (&'static [usize], usize, f64, f64, f64);
+    let pair = vec![suite::comd(), suite::sp_mz()];
+    let four = vec![
+        suite::comd(),
+        suite::sp_mz(),
+        suite::lu_mz(),
+        suite::tea_leaf(),
+    ];
+    let cases: Vec<(&Vec<workload::AppModel>, f64, Vec<Pin>)> = vec![
+        (
+            &pair,
+            1200.0,
+            vec![
+                (
+                    &[0, 1, 2, 3],
+                    24,
+                    137.94854777148822,
+                    12.05145222851177,
+                    0.6805333337599072,
+                ),
+                (
+                    &[4, 5, 6, 7],
+                    12,
+                    129.69285714285715,
+                    20.307142857142857,
+                    0.5828733116661688,
+                ),
+            ],
+        ),
+        (
+            &pair,
+            1800.0,
+            vec![
+                (
+                    &[0, 1, 2, 3],
+                    24,
+                    211.52248003644948,
+                    13.477519963550527,
+                    0.8918351523191873,
+                ),
+                (&[4, 5, 6, 7], 14, 202.475, 22.525, 0.5961060698413386),
+            ],
+        ),
+        (
+            &four,
+            1200.0,
+            vec![
+                (
+                    &[0, 1],
+                    24,
+                    137.94854777148822,
+                    12.05145222851177,
+                    0.3413576076520997,
+                ),
+                (
+                    &[2, 3],
+                    12,
+                    129.69285714285715,
+                    20.307142857142857,
+                    0.29295506748580863,
+                ),
+                (
+                    &[4, 5],
+                    12,
+                    114.1235,
+                    35.876499999999986,
+                    0.5816738360987411,
+                ),
+                (
+                    &[6, 7],
+                    12,
+                    123.03928571428571,
+                    26.96071428571429,
+                    0.42464674314410905,
+                ),
+            ],
+        ),
+        (
+            &four,
+            1800.0,
+            vec![
+                (
+                    &[0, 1],
+                    24,
+                    211.52248003644948,
+                    13.477519963550527,
+                    0.4477930201151469,
+                ),
+                (&[2, 3], 14, 202.475, 22.525, 0.29964136093011656),
+                (
+                    &[4, 5],
+                    24,
+                    189.1235,
+                    35.876499999999986,
+                    0.7473838044403115,
+                ),
+                (&[6, 7], 14, 194.7125, 30.2875, 0.4422250788314271),
+            ],
+        ),
+    ];
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
+    for (jobs, budget_w, pins) in cases {
+        let cluster = Cluster::homogeneous(8);
+        let mut planning = cluster.clone();
+        let plans = plan_mix(&mut planning, jobs, Power::watts(budget_w));
+        let mut exec = cluster.clone();
+        let reports = execute_concurrent(&mut exec, jobs, &plans, 2, &mut clip_obs::NoopRecorder);
+        assert_eq!(plans.len(), pins.len());
+        for (((plan, report), app), &(ids, threads, cpu, dram, perf)) in
+            plans.iter().zip(&reports).zip(jobs.iter()).zip(&pins)
+        {
+            let what = format!("{} at {budget_w} W", app.name());
+            assert_eq!(plan.node_ids, ids, "{what}: node split drifted");
+            assert_eq!(plan.threads_per_node, threads, "{what}: threads drifted");
+            for caps in &plan.caps {
+                assert!(
+                    close(caps.cpu.as_watts(), cpu),
+                    "{what}: cpu cap {}",
+                    caps.cpu
+                );
+                assert!(
+                    close(caps.dram.as_watts(), dram),
+                    "{what}: dram cap {}",
+                    caps.dram
+                );
+            }
+            assert!(
+                close(report.performance(), perf),
+                "{what}: perf {}",
+                report.performance()
+            );
+        }
+    }
+}
