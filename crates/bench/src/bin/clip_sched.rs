@@ -9,12 +9,11 @@
 //! Looks the application up in the Table II suite, runs the CLIP pipeline
 //! (smart profiling → classification → prediction → allocation), prints
 //! the decision, executes it, and reports measured performance and power.
-//! With `--fixed-nodes/--fixed-threads` it uses the runtime coordinator
-//! instead (power-only coordination for pinned launches).
+//! With `--fixed-nodes/--fixed-threads` the launch is pinned and CLIP
+//! coordinates power only (`ClipScheduler::plan_fixed`).
 
-use clip_bench::HARNESS_SEED;
-use clip_core::runtime::{FixedLaunch, RuntimeCoordinator};
-use clip_core::{execute_plan, ClipScheduler, InflectionPredictor, PowerScheduler};
+use clip_bench::{clip_scheduler, HARNESS_SEED};
+use clip_core::{execute_plan, PowerScheduler};
 use cluster_sim::Cluster;
 use simkit::Power;
 use workload::suite::table2_suite;
@@ -142,22 +141,10 @@ fn main() {
         args.budget_w
     );
 
+    let mut clip = clip_scheduler();
     let plan = match (args.fixed_nodes, args.fixed_threads) {
-        (Some(n), Some(t)) => {
-            let mut rt = RuntimeCoordinator::new();
-            rt.plan_fixed(
-                &mut cluster,
-                &app,
-                budget,
-                FixedLaunch {
-                    nodes: n,
-                    threads_per_node: t,
-                    policy: None,
-                },
-            )
-        }
+        (Some(n), Some(t)) => clip.plan_fixed(&mut cluster, &app, budget, n, t),
         (None, None) => {
-            let mut clip = ClipScheduler::new(InflectionPredictor::train_default(HARNESS_SEED));
             let plan = clip.plan(&mut cluster, &app, budget);
             let rec = clip.knowledge().get(app.name()).expect("profiled");
             println!(

@@ -6,8 +6,7 @@
 //! split, the affinity, and variability shifting. This harness compares the
 //! runtime against a naive 30 W DRAM pin across launch shapes and budgets.
 
-use clip_bench::{emit, testbed, EVAL_ITERATIONS};
-use clip_core::runtime::{FixedLaunch, RuntimeCoordinator};
+use clip_bench::{clip_scheduler, emit, testbed, EVAL_ITERATIONS};
 use clip_core::{execute_plan, SchedulePlan};
 use simkit::table::Table;
 use simkit::Power;
@@ -20,19 +19,13 @@ fn main() {
         &["launch", "budget (W)", "runtime perf", "naive perf", "gain"],
     );
     let app = suite::lu_mz();
+    let mut clip = clip_scheduler();
 
     for (nodes, threads) in [(8usize, 24usize), (4, 24), (8, 12), (6, 16)] {
         for budget_w in [900.0, 1400.0] {
             let budget = Power::watts(budget_w);
-            let launch = FixedLaunch {
-                nodes,
-                threads_per_node: threads,
-                policy: None,
-            };
-
-            let mut rt = RuntimeCoordinator::new();
             let mut planning = cluster.clone();
-            let plan = rt.plan_fixed(&mut planning, &app, budget, launch);
+            let plan = clip.plan_fixed(&mut planning, &app, budget, nodes, threads);
             assert!(plan.within_budget(budget));
             let mut exec = cluster.clone();
             let smart = execute_plan(

@@ -7,9 +7,12 @@
 //!
 //! When a job reaches the queue head and enough nodes/power are free, the
 //! CLIP pipeline plans it against exactly those free resources
-//! ([`crate::ClipScheduler::plan_constrained`]) — so a job arriving on a
-//! half-busy machine naturally gets fewer nodes with per-node budgets in
-//! its acceptable range, instead of waiting for the whole machine.
+//! ([`ClipScheduler`]'s [`PowerScheduler::plan_subset`]) — so a job
+//! arriving on a half-busy machine naturally gets fewer nodes with
+//! per-node budgets in its acceptable range, instead of waiting for the
+//! whole machine. A queue that can never start (the budget is below the
+//! 50 W free-power floor) ends with its jobs in
+//! [`DispatchReport::unstarted`], never silently dropped.
 //!
 //! Jobs that start together can instead be co-scheduled in one step
 //! ([`Dispatcher::plan_concurrent`]): the POWshed scenario of §VI driven by
@@ -83,6 +86,12 @@ impl DispatchOutcome {
 pub struct DispatchReport {
     /// Per-job outcomes, in completion order.
     pub outcomes: Vec<DispatchOutcome>,
+    /// Submission indices of the jobs that never started, in submission
+    /// order: the queue was still blocked (free power below the 50 W
+    /// floor, or no alive node free) when nothing was left running or
+    /// arriving. `outcomes` plus `unstarted` are always the jobs
+    /// submitted.
+    pub unstarted: Vec<usize>,
     /// Time the last job finished.
     pub makespan: TimeSpan,
 }
@@ -172,20 +181,21 @@ impl Dispatcher {
                 .recorder()
                 .enabled_for(clip_obs::EventClass::Scheduler),
         );
-        let mut arrivals = jobs.iter().peekable();
-        let mut pending: std::collections::VecDeque<&QueuedJob> = std::collections::VecDeque::new();
+        let mut arrivals = jobs.iter().enumerate().peekable();
+        let mut pending: std::collections::VecDeque<(usize, &QueuedJob)> =
+            std::collections::VecDeque::new();
         let mut running: Vec<Running> = Vec::new();
         let mut outcomes = Vec::new();
         let mut now = TimeSpan::ZERO;
 
         loop {
             // Admit everything that has arrived by `now`.
-            while let Some(job) = arrivals.next_if(|j| j.arrival <= now) {
+            while let Some(job) = arrivals.next_if(|(_, j)| j.arrival <= now) {
                 pending.push_back(job);
             }
 
             // Start queued jobs strictly in arrival order (FCFS).
-            while let Some(&job) = pending.front() {
+            while let Some(&(_, job)) = pending.front() {
                 let free_nodes: Vec<usize> = cluster
                     .alive_nodes()
                     .into_iter()
@@ -253,11 +263,11 @@ impl Dispatcher {
                 .fold(TimeSpan::secs(f64::INFINITY), TimeSpan::min);
             let next_arrive = arrivals
                 .peek()
-                .map(|j| j.arrival)
+                .map(|(_, j)| j.arrival)
                 .unwrap_or(TimeSpan::secs(f64::INFINITY));
             let next = next_finish.min(next_arrive);
             if !next.is_finite() {
-                break; // no running jobs, no future arrivals
+                break; // no running jobs, no future arrivals: `pending` never starts
             }
             now = next;
             running.retain(|r| r.finish > now);
@@ -269,7 +279,11 @@ impl Dispatcher {
             .map(|o| o.finish)
             .fold(TimeSpan::ZERO, TimeSpan::max);
         self.scheduler.set_tracing(false);
-        DispatchReport { outcomes, makespan }
+        DispatchReport {
+            outcomes,
+            unstarted: pending.into_iter().map(|(i, _)| i).collect(),
+            makespan,
+        }
     }
 
     /// Run a pre-resolved open-loop [`ArrivalPlan`] through the
@@ -683,6 +697,29 @@ mod tests {
         assert!(plans.iter().all(|p| !p.node_ids.contains(&0)));
         let reports = execute_concurrent(&mut cluster, &jobs, &plans, 1);
         assert!(reports.iter().all(|r| r.performance() > 0.0));
+    }
+
+    #[test]
+    fn jobs_that_can_never_start_are_reported_unstarted() {
+        // 40 W is below the free-power floor: nothing ever starts, and the
+        // report still accounts for every submission.
+        let jobs = vec![
+            QueuedJob {
+                app: suite::comd(),
+                arrival: TimeSpan::ZERO,
+                iterations: 3,
+            },
+            QueuedJob {
+                app: suite::amg(),
+                arrival: TimeSpan::secs(1.0),
+                iterations: 3,
+            },
+        ];
+        let mut cluster = Cluster::homogeneous(8);
+        let report = dispatcher(40.0).run(&mut cluster, &jobs, &mut clip_obs::NoopRecorder);
+        assert!(report.outcomes.is_empty());
+        assert_eq!(report.unstarted, vec![0, 1]);
+        assert_eq!(report.makespan, TimeSpan::ZERO);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! The paper frames CLIP's coordinate→allocate→recommend cycle as
 //! hierarchical by construction (§III); its evaluation stops at one
-//! 8-node group. [`run_sharded`] scales the cycle out: a
-//! [`ShardedFleet`](cluster_sim::ShardedFleet) partitions the fleet into
-//! racks, each rack runs its own [`EpochEngine`] through the existing
+//! 8-node group. [`run_sharded`] scales the cycle out: a [`ShardedFleet`]
+//! partitions the fleet into racks, each rack runs its own [`EpochEngine`]
+//! through the existing
 //! [`EpochPolicy`] machinery ([`RackTimeline`] replays the rack's slice of
 //! the global fault plan), and a [`BudgetArbiter`] splits the global power
 //! bound across racks each epoch, shifting slack watts from
@@ -24,8 +24,8 @@
 //!    process-wide audit counters, the scheduler's decision buffer, or a
 //!    trace sink happens here;
 //! 2. **execute** (parallel): [`EpochEngine::execute`] per rack via
-//!    [`parallel_map_with`](cluster_sim::sweep::parallel_map_with). The
-//!    closure owns its rack wholesale (cluster, engine, recorder) and
+//!    [`parallel_map_with`]. The closure owns its rack wholesale
+//!    (cluster, engine, recorder) and
 //!    writes results back into the moved-in rack value — no shared
 //!    accumulation, no interior mutability, which is exactly the shape
 //!    clip-lint's shared-state and commutativity rules prove (§13's proof
@@ -183,7 +183,9 @@ impl<R: Recorder> EpochPolicy<R> for RackTimeline {
             // Faults fired above; the service decides over the survivors.
             // It never changes node liveness, so the fault boundary's
             // pool_changed/reclaimed verdicts stand untouched.
-            let s = service.service_boundary(cluster, scheduler, epoch, rec);
+            let s = <ServiceTimeline as EpochPolicy<R>>::epoch_boundary(
+                service, cluster, scheduler, plan, epoch, rec,
+            );
             b.events_applied += s.events_applied;
             b.events_ignored += s.events_ignored;
             b.replan_now |= s.replan_now;
@@ -202,13 +204,13 @@ impl<R: Recorder> EpochPolicy<R> for RackTimeline {
 
     fn restrict_pool(&self, pool: &mut Vec<usize>) {
         if let Some(s) = self.service.as_ref() {
-            s.restrict(pool);
+            <ServiceTimeline as EpochPolicy<R>>::restrict_pool(s, pool);
         }
     }
 
     fn epoch_settled(&mut self, report: &JobReport, epoch: usize, rec: &mut R) {
         if let Some(s) = self.service.as_mut() {
-            s.settled(report, epoch, rec);
+            <ServiceTimeline as EpochPolicy<R>>::epoch_settled(s, report, epoch, rec);
         }
     }
 }

@@ -31,8 +31,10 @@
 //!
 //! Extensions go beyond the paper's evaluation while staying inside its
 //! design space: [`phased`] recommends per-phase concurrency (the §V-B
-//! BT-MZ treatment, generalized); [`runtime`] coordinates power for jobs
-//! with user-pinned node/thread counts (the §VII future-work item);
+//! BT-MZ treatment, generalized);
+//! [`ClipScheduler::plan_fixed`] coordinates power for jobs with
+//! user-pinned node/thread counts (the §VII future-work item) on the same
+//! knowledge database and node selection as every other CLIP plan;
 //! [`dispatch`] is the §IV-B3 job scheduler — an FCFS power-bounded queue
 //! that also co-schedules concurrent jobs on one budget (the POWshed
 //! scenario of §VI, driven by CLIP's models); [`degrade`] replays seeded
@@ -63,7 +65,6 @@ pub mod powerfit;
 pub mod profile;
 pub mod pwl;
 pub mod recommend;
-pub mod runtime;
 pub mod scheduler;
 pub mod service;
 pub mod tools;
@@ -86,6 +87,5 @@ pub use perfmodel::NodePerfModel;
 pub use powerfit::FittedPowerModel;
 pub use profile::{ProfileData, SampleRun, SmartProfiler};
 pub use recommend::{recommend_node_config, NodeConfig};
-pub use runtime::{FixedLaunch, RuntimeCoordinator};
 pub use scheduler::{execute_plan, ClipScheduler, PowerScheduler, SchedulePlan};
 pub use service::{run_service, ServiceRunReport, ServiceTimeline};

@@ -10,8 +10,10 @@
 //! knowledge-database lookup → smart profiling → classification → MLR
 //! inflection prediction (+ the third sample at the predicted point) →
 //! model fitting → cluster allocation → node selection → optional
-//! variability coordination. [`execute_plan`] programs the caps and runs
-//! the job, returning the measured [`JobReport`].
+//! variability coordination. [`ClipScheduler::plan_fixed`] plans a
+//! user-pinned launch on the same knowledge database and node selection.
+//! [`execute_plan`] programs the caps and runs the job, returning the
+//! measured [`JobReport`].
 
 use crate::allocate::allocate_cluster;
 use crate::audit::BudgetLedger;
@@ -21,6 +23,7 @@ use crate::mlr::InflectionPredictor;
 use crate::perfmodel::NodePerfModel;
 use crate::powerfit::FittedPowerModel;
 use crate::profile::SmartProfiler;
+use crate::recommend::{bandwidth_estimate, is_bandwidth_saturated, split_node_budget};
 use cluster_sim::{run_job, Cluster, JobReport, JobSpec};
 use serde::{Deserialize, Serialize};
 use simkit::Power;
@@ -174,6 +177,9 @@ pub fn execute_plan<R: clip_obs::Recorder>(
     run_job(cluster, &spec, epoch, rec)
 }
 
+/// Scheduler name on fixed-launch plans ([`ClipScheduler::plan_fixed`]).
+const FIXED_LAUNCH: &str = "CLIP-runtime";
+
 /// One application's knowledge-database record and the models fitted from
 /// it — everything planning needs to predict the app at any configuration.
 pub(crate) struct JobModels {
@@ -300,30 +306,132 @@ impl ClipScheduler {
 }
 
 impl ClipScheduler {
-    /// Plan against a *subset* of the cluster: only `allowed_nodes` may be
-    /// used and only `budget` may be drawn. This is the entry point the
-    /// queue dispatcher uses when part of the machine is already busy.
+    /// Coordinate power for a user-pinned launch (`mpirun -np nodes`,
+    /// `OMP_NUM_THREADS=threads_per_node`) — the runtime the paper names
+    /// as future work (§VII). The launch is honoured exactly; CLIP still
+    /// chooses which alive nodes run, the per-node budget and its
+    /// CPU/DRAM split at the pinned concurrency, the affinity, and the
+    /// variability shift. The app's record comes from the same knowledge
+    /// database as [`PowerScheduler::plan`], so it is profiled once
+    /// whichever way it is planned; a cache miss probes an alive node.
     ///
-    /// Variability coordination measures only the allowed nodes (the busy
-    /// ones cannot run probes).
-    pub fn plan_constrained(
+    /// # Panics
+    /// When `nodes` is zero or exceeds the alive node count, or
+    /// `threads_per_node` is zero or exceeds a node's cores.
+    pub fn plan_fixed(
         &mut self,
         cluster: &mut Cluster,
         app: &AppModel,
         budget: Power,
-        allowed_nodes: &[usize],
+        nodes: usize,
+        threads_per_node: usize,
     ) -> SchedulePlan {
-        assert!(!allowed_nodes.is_empty(), "no nodes available");
-        for &id in allowed_nodes {
+        let alive = cluster.alive_nodes();
+        assert!(nodes >= 1 && nodes <= alive.len(), "invalid node count");
+        let probe = alive.first().copied().unwrap_or(0);
+        let total_cores = cluster.node(probe).topology().total_cores();
+        assert!(
+            threads_per_node >= 1 && threads_per_node <= total_cores,
+            "invalid thread count"
+        );
+        let models = self.job_models(cluster, app, probe);
+        let profile = &models.record.profile;
+        let split = split_node_budget(
+            &models.power,
+            bandwidth_estimate(profile, threads_per_node),
+            is_bandwidth_saturated(profile),
+            threads_per_node,
+            budget / nodes as f64,
+        );
+
+        let ledger = BudgetLedger::new(FIXED_LAUNCH, budget);
+        let (node_ids, caps) = self.select_nodes(cluster, &alive, nodes, split.caps, &ledger);
+        let plan = SchedulePlan {
+            scheduler: FIXED_LAUNCH.to_string(),
+            node_ids,
+            threads_per_node,
+            policy: profile.policy,
+            caps,
+        };
+        ledger.audit_plan(&plan);
+        plan
+    }
+
+    /// Pick `n` of the `allowed` nodes and give each its caps, starting
+    /// from `uniform`. With variability coordination on, the allowed nodes
+    /// are ranked by measured efficiency (thriftiest first, stable on
+    /// ties), the first `n` run, and CPU budget shifts onto the leaky ones
+    /// if the spread warrants it (shift audited on `ledger`); only the
+    /// allowed nodes are probed. With it off, the first `n` allowed nodes
+    /// run on uniform caps.
+    fn select_nodes(
+        &mut self,
+        cluster: &mut Cluster,
+        allowed: &[usize],
+        n: usize,
+        uniform: PowerCaps,
+        ledger: &BudgetLedger,
+    ) -> (Vec<usize>, Vec<PowerCaps>) {
+        if !self.coordinate_variability {
+            return (allowed.iter().copied().take(n).collect(), vec![uniform; n]);
+        }
+        let factors = coordinate::measure_efficiencies(cluster, allowed);
+        let mut ranked: Vec<(usize, f64)> = allowed.iter().copied().zip(factors).collect();
+        ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let (selected, sel_factors): (Vec<usize>, Vec<f64>) = ranked.into_iter().take(n).unzip();
+        if self.trace_decisions {
+            let spread = coordinate::spread(&sel_factors);
+            self.decisions
+                .push(clip_obs::TraceEvent::CoordinateMeasured {
+                    pool: selected.clone(),
+                    spread,
+                    engaged: spread > self.variability_threshold,
+                });
+        }
+        let before = vec![uniform; sel_factors.len()];
+        let caps = coordinate::coordinate_caps(uniform, &sel_factors, self.variability_threshold);
+        ledger.audit_shift(&before, &caps);
+        (selected, caps)
+    }
+}
+
+impl PowerScheduler for ClipScheduler {
+    fn name(&self) -> &str {
+        "CLIP"
+    }
+
+    fn plan(&mut self, cluster: &mut Cluster, app: &AppModel, budget: Power) -> SchedulePlan {
+        // The unrestricted plan is the subset plan over the full pool:
+        // measure the whole fleet, activate the thriftiest nodes, and shift
+        // CPU budget onto leaky ones if the spread warrants it.
+        let all_ids: Vec<usize> = (0..cluster.len()).collect();
+        self.plan_subset(cluster, app, budget, &all_ids)
+    }
+
+    /// Plan against a *subset* of the cluster: only `allowed` nodes may be
+    /// used and only `budget` may be drawn. This is the entry point the
+    /// queue dispatcher uses when part of the machine is already busy.
+    /// Profiling (on a cache miss) probes the first allowed node and
+    /// variability coordination measures only the allowed nodes (the
+    /// busy ones cannot run probes).
+    fn plan_subset(
+        &mut self,
+        cluster: &mut Cluster,
+        app: &AppModel,
+        budget: Power,
+        allowed: &[usize],
+    ) -> SchedulePlan {
+        assert!(!allowed.is_empty(), "no nodes available");
+        for &id in allowed {
             assert!(id < cluster.len(), "node {id} out of range");
         }
-        let probe = allowed_nodes.first().copied().unwrap_or(0);
+        let probe = allowed.first().copied().unwrap_or(0);
         let total_cores = cluster.node(probe).topology().total_cores();
         let models = self.job_models(cluster, app, probe);
 
         let allocation = allocate_cluster(
             budget,
-            allowed_nodes.len(),
+            allowed.len(),
             app.preferred_node_counts(),
             &models.record.profile,
             &models.perf,
@@ -340,34 +448,7 @@ impl ClipScheduler {
                 per_node_cap: uniform.total(),
             });
         }
-
-        let (node_ids, caps) = if self.coordinate_variability {
-            let factors = coordinate::measure_efficiencies(cluster, allowed_nodes);
-            let mut ranked: Vec<(usize, f64)> =
-                allowed_nodes.iter().copied().zip(factors).collect();
-            ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
-            let selected: Vec<usize> = ranked.iter().take(n).map(|&(id, _)| id).collect();
-            let sel_factors: Vec<f64> = ranked.iter().take(n).map(|&(_, f)| f).collect();
-            if self.trace_decisions {
-                let spread = coordinate::spread(&sel_factors);
-                self.decisions
-                    .push(clip_obs::TraceEvent::CoordinateMeasured {
-                        pool: selected.clone(),
-                        spread,
-                        engaged: spread > self.variability_threshold,
-                    });
-            }
-            let before = vec![uniform; sel_factors.len()];
-            let caps =
-                coordinate::coordinate_caps(uniform, &sel_factors, self.variability_threshold);
-            ledger.audit_shift(&before, &caps);
-            (selected, caps)
-        } else {
-            (
-                allowed_nodes.iter().copied().take(n).collect(),
-                vec![uniform; n],
-            )
-        };
+        let (node_ids, caps) = self.select_nodes(cluster, allowed, n, uniform, &ledger);
 
         let plan = SchedulePlan {
             scheduler: self.name().to_string(),
@@ -378,30 +459,6 @@ impl ClipScheduler {
         };
         ledger.audit_plan(&plan);
         plan
-    }
-}
-
-impl PowerScheduler for ClipScheduler {
-    fn name(&self) -> &str {
-        "CLIP"
-    }
-
-    fn plan(&mut self, cluster: &mut Cluster, app: &AppModel, budget: Power) -> SchedulePlan {
-        // The unrestricted plan is the constrained plan over the full pool:
-        // measure the whole fleet, activate the thriftiest nodes, and shift
-        // CPU budget onto leaky ones if the spread warrants it.
-        let all_ids: Vec<usize> = (0..cluster.len()).collect();
-        self.plan_constrained(cluster, app, budget, &all_ids)
-    }
-
-    fn plan_subset(
-        &mut self,
-        cluster: &mut Cluster,
-        app: &AppModel,
-        budget: Power,
-        allowed: &[usize],
-    ) -> SchedulePlan {
-        self.plan_constrained(cluster, app, budget, allowed)
     }
 
     fn set_tracing(&mut self, on: bool) {
@@ -589,5 +646,121 @@ mod tests {
         let plan = clip.plan(&mut cluster, &app, Power::watts(800.0));
         assert!(plan.caps.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(plan.node_ids, (0..plan.nodes()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fixed_launch_is_honored() {
+        let mut cluster = Cluster::homogeneous(8);
+        let mut clip = scheduler();
+        let plan = clip.plan_fixed(&mut cluster, &suite::sp_mz(), Power::watts(1300.0), 6, 18);
+        assert_eq!(plan.nodes(), 6);
+        assert_eq!(plan.threads_per_node, 18);
+    }
+
+    #[test]
+    fn fixed_launch_respects_budget() {
+        let mut cluster = Cluster::homogeneous(8);
+        let mut clip = scheduler();
+        let budget = Power::watts(1100.0);
+        let plan = clip.plan_fixed(&mut cluster, &suite::lu_mz(), budget, 8, 24);
+        assert!(plan.within_budget(budget));
+        let report = execute_plan(
+            &mut cluster,
+            &suite::lu_mz(),
+            &plan,
+            2,
+            0,
+            &mut clip_obs::NoopRecorder,
+        );
+        assert!(report.cluster_power <= budget + Power::watts(1.0));
+    }
+
+    #[test]
+    fn fixed_launch_split_beats_naive_split_for_memory_apps() {
+        // Even with everything pinned, coordinating the CPU/DRAM split
+        // matters: compare against a naive 30 W DRAM pin.
+        let cluster = Cluster::homogeneous(4);
+        let app = suite::lu_mz();
+        let budget = Power::watts(500.0);
+
+        let mut clip = scheduler();
+        clip.coordinate_variability = false;
+        let mut planning = cluster.clone();
+        let plan = clip.plan_fixed(&mut planning, &app, budget, 4, 24);
+        let mut exec = cluster.clone();
+        let coordinated =
+            execute_plan(&mut exec, &app, &plan, 2, 0, &mut clip_obs::NoopRecorder).performance();
+
+        let naive_caps = PowerCaps::new(
+            Power::watts(budget.as_watts() / 4.0 - 30.0),
+            Power::watts(30.0),
+        );
+        let naive_plan = SchedulePlan {
+            scheduler: "naive".into(),
+            node_ids: (0..4).collect(),
+            threads_per_node: 24,
+            policy: plan.policy,
+            caps: vec![naive_caps; 4],
+        };
+        let mut exec = cluster.clone();
+        let naive = execute_plan(
+            &mut exec,
+            &app,
+            &naive_plan,
+            2,
+            0,
+            &mut clip_obs::NoopRecorder,
+        )
+        .performance();
+        assert!(
+            coordinated >= naive * 0.98,
+            "coordinated {coordinated:.4} vs naive {naive:.4}"
+        );
+    }
+
+    #[test]
+    fn fixed_launches_and_plans_share_one_profile() {
+        let mut cluster = Cluster::homogeneous(8);
+        let mut clip = scheduler();
+        let app = suite::amg();
+        let _ = clip.plan_fixed(&mut cluster, &app, Power::watts(900.0), 4, 24);
+        let _ = clip.plan_fixed(&mut cluster, &app, Power::watts(1400.0), 8, 12);
+        let _ = clip.plan(&mut cluster, &app, Power::watts(1200.0));
+        assert_eq!(
+            clip.profiles_performed(),
+            1,
+            "later plans reuse the profile"
+        );
+        assert_eq!(clip.knowledge().len(), 1);
+    }
+
+    #[test]
+    fn fixed_launch_avoids_crashed_nodes() {
+        for coordinate in [true, false] {
+            let mut cluster = Cluster::homogeneous(8);
+            cluster.fail_node(0);
+            let mut clip = scheduler();
+            clip.coordinate_variability = coordinate;
+            let app = suite::lu_mz();
+            let budget = Power::watts(900.0);
+            let plan = clip.plan_fixed(&mut cluster, &app, budget, 4, 24);
+            assert_eq!(plan.nodes(), 4);
+            assert!(
+                !plan.node_ids.contains(&0),
+                "coordinate={coordinate}: dead node planned: {:?}",
+                plan.node_ids
+            );
+            let report = execute_plan(&mut cluster, &app, &plan, 2, 0, &mut clip_obs::NoopRecorder);
+            assert!(report.performance() > 0.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid node count")]
+    fn fixed_launch_beyond_alive_nodes_rejected() {
+        let mut cluster = Cluster::homogeneous(4);
+        cluster.fail_node(3);
+        let mut clip = scheduler();
+        let _ = clip.plan_fixed(&mut cluster, &suite::comd(), Power::watts(900.0), 4, 24);
     }
 }

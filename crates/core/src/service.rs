@@ -180,15 +180,6 @@ impl ServiceTimeline {
         self.active.as_ref().and_then(|a| self.catalog.get(a.app))
     }
 
-    /// Retain only pool members in `pool`; on an empty intersection keep
-    /// the engine's pool untouched (the [`EpochPolicy::restrict_pool`]
-    /// non-empty contract).
-    pub fn restrict(&self, pool: &mut Vec<usize>) {
-        if pool.iter().any(|id| self.pool.contains(id)) {
-            pool.retain(|id| self.pool.contains(id));
-        }
-    }
-
     /// Consume the policy into its service-level report.
     pub fn into_report(self) -> ServiceReport {
         let Self {
@@ -287,18 +278,44 @@ impl ServiceTimeline {
         }
         best.map(|(i, _, _)| i)
     }
+}
 
+/// Tenant display name (only called on traced paths).
+fn tenant_name(tenants: &[Tenant], idx: usize) -> String {
+    tenants
+        .get(idx)
+        .map_or_else(String::new, |t| t.name.clone())
+}
+
+/// Application display name (only called on traced paths).
+fn app_name(catalog: &[AppModel], idx: usize) -> String {
+    catalog
+        .get(idx)
+        .map_or_else(String::new, |a| a.name().to_string())
+}
+
+/// A CPU-only caps entry for the grant/reserve shift audit.
+fn caps(cpu: Power) -> PowerCaps {
+    PowerCaps {
+        cpu,
+        dram: Power::ZERO,
+    }
+}
+
+impl<R: Recorder> EpochPolicy<R> for ServiceTimeline {
     /// The service's epoch-boundary decision cycle: arrivals through
     /// admission, then preemption, activation and autoscaling. Returns
     /// the boundary summary, with [`Boundary::budget`] set whenever the
     /// grant was re-split.
-    pub fn service_boundary<R: Recorder>(
+    fn epoch_boundary(
         &mut self,
         cluster: &mut Cluster,
         scheduler: &mut dyn PowerScheduler,
+        plan: &mut SchedulePlan,
         epoch: usize,
         rec: &mut R,
     ) -> Boundary {
+        let _ = plan;
         let mut b = Boundary::quiet();
         let ep = epoch as u64;
         let active_before = self.active.map(|a| a.job);
@@ -470,9 +487,23 @@ impl ServiceTimeline {
         b
     }
 
+    fn app_for_epoch(&self, epoch: usize) -> Option<&AppModel> {
+        let _ = epoch;
+        self.active_app()
+    }
+
+    /// Retain only pool members in `pool`; on an empty intersection keep
+    /// the engine's pool untouched (the [`EpochPolicy::restrict_pool`]
+    /// non-empty contract).
+    fn restrict_pool(&self, pool: &mut Vec<usize>) {
+        if pool.iter().any(|id| self.pool.contains(id)) {
+            pool.retain(|id| self.pool.contains(id));
+        }
+    }
+
     /// Advance the active job by one epoch of progress and record a
     /// completion (latency, SLO verdict) when it finishes.
-    pub fn settled<R: Recorder>(&mut self, report: &JobReport, epoch: usize, rec: &mut R) {
+    fn epoch_settled(&mut self, report: &JobReport, epoch: usize, rec: &mut R) {
         self.clock += report.total_time;
         self.epochs_settled += 1;
         self.epoch_seconds +=
@@ -509,55 +540,6 @@ impl ServiceTimeline {
                 }
             }
         }
-    }
-}
-
-/// Tenant display name (only called on traced paths).
-fn tenant_name(tenants: &[Tenant], idx: usize) -> String {
-    tenants
-        .get(idx)
-        .map_or_else(String::new, |t| t.name.clone())
-}
-
-/// Application display name (only called on traced paths).
-fn app_name(catalog: &[AppModel], idx: usize) -> String {
-    catalog
-        .get(idx)
-        .map_or_else(String::new, |a| a.name().to_string())
-}
-
-/// A CPU-only caps entry for the grant/reserve shift audit.
-fn caps(cpu: Power) -> PowerCaps {
-    PowerCaps {
-        cpu,
-        dram: Power::ZERO,
-    }
-}
-
-impl<R: Recorder> EpochPolicy<R> for ServiceTimeline {
-    fn epoch_boundary(
-        &mut self,
-        cluster: &mut Cluster,
-        scheduler: &mut dyn PowerScheduler,
-        plan: &mut SchedulePlan,
-        epoch: usize,
-        rec: &mut R,
-    ) -> Boundary {
-        let _ = plan;
-        self.service_boundary(cluster, scheduler, epoch, rec)
-    }
-
-    fn app_for_epoch(&self, epoch: usize) -> Option<&AppModel> {
-        let _ = epoch;
-        self.active_app()
-    }
-
-    fn restrict_pool(&self, pool: &mut Vec<usize>) {
-        self.restrict(pool);
-    }
-
-    fn epoch_settled(&mut self, report: &JobReport, epoch: usize, rec: &mut R) {
-        self.settled(report, epoch, rec);
     }
 }
 

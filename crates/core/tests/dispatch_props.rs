@@ -69,6 +69,44 @@ proptest! {
         }
     }
 
+    /// Jobs are conserved: every submission either completes once or is
+    /// reported unstarted (in submission order), whatever the budget —
+    /// including budgets below the free-power floor — and however many
+    /// nodes have crashed (the cluster keeps at least one alive).
+    #[test]
+    fn jobs_are_conserved(seed in any::<u64>(), count in 1usize..6,
+                          starved in any::<bool>(), budget_frac in 0.0f64..1.0,
+                          crashed in 0usize..8)
+    {
+        let jobs = stream(seed, count, 2.0);
+        let mut cluster = Cluster::homogeneous(8);
+        for id in 0..crashed {
+            cluster.fail_node(id);
+        }
+        // Half the cases starve below the 50 W floor, the rest span a
+        // working range.
+        let budget_w = if starved { 50.0 * budget_frac } else { 700.0 + 1500.0 * budget_frac };
+        let mut clip = ClipScheduler::new(predictor().clone());
+        clip.coordinate_variability = false;
+        let mut d = Dispatcher::new(clip, Power::watts(budget_w));
+        let report = d.run(&mut cluster, &jobs, &mut clip_obs::NoopRecorder);
+
+        prop_assert_eq!(report.outcomes.len() + report.unstarted.len(), count);
+        prop_assert!(report.unstarted.windows(2).all(|w| w[0] < w[1]), "unstarted out of order");
+        prop_assert!(report.unstarted.iter().all(|&i| i < count));
+        if starved {
+            prop_assert!(report.outcomes.is_empty());
+        }
+        let mut started: Vec<&str> = report.outcomes.iter().map(|o| o.job.as_str()).collect();
+        started.sort_unstable();
+        let mut expected: Vec<&str> = (0..count)
+            .filter(|i| !report.unstarted.contains(i))
+            .filter_map(|i| jobs.get(i).map(|j| j.app.name()))
+            .collect();
+        expected.sort_unstable();
+        prop_assert_eq!(started, expected);
+    }
+
     /// At every instant, concurrently running jobs hold disjoint node sets
     /// and their combined power grants fit the budget.
     #[test]

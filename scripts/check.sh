@@ -30,6 +30,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings \
     -A clippy::indexing_slicing \
     -A clippy::panic
 
+# Rustdoc gate: broken or ambiguous intra-doc links fail the build, so a
+# renamed or deleted item cannot leave dangling references in the docs.
+echo "==> cargo doc (-D warnings)"
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
+
 echo "==> clip-lint (schema gate + SARIF + wall-time ratchet)"
 # The report schema version is pinned by the golden test and
 # double-checked here — `--schema-version` prints the bare number, so the

@@ -24,7 +24,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// The length specification for [`vec`]: an exact size or a range.
+    /// The length specification for [`vec()`]: an exact size or a range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,

@@ -706,3 +706,208 @@ fn golden_concurrent_plans() {
         }
     }
 }
+
+/// Fixed-launch pins: the `ext_runtime` LU-MZ plans on the paper testbed
+/// (seed 5), four pinned launch shapes at 900 W and 1400 W. Each pin is
+/// `(nodes, threads, budget W, node ids, policy, per-node (CPU W, DRAM W)
+/// caps, measured it/s)`; the plan must honour the launch exactly and
+/// only choose the caps, the split, the affinity and which nodes run.
+#[test]
+fn golden_fixed_launch_plans() {
+    use clip_core::{execute_plan, ClipScheduler};
+    use cluster_sim::Cluster;
+    use simkit::Power;
+    use simnode::AffinityPolicy;
+
+    fn plan_fixed(
+        cluster: &mut Cluster,
+        app: &workload::AppModel,
+        budget: Power,
+        nodes: usize,
+        threads: usize,
+    ) -> clip_core::SchedulePlan {
+        ClipScheduler::new(InflectionPredictor::train_default(5))
+            .plan_fixed(cluster, app, budget, nodes, threads)
+    }
+
+    type Pin = (
+        usize,
+        usize,
+        f64,
+        &'static [usize],
+        AffinityPolicy,
+        &'static [(f64, f64)],
+        f64,
+    );
+    const EIGHT: &[usize] = &[1, 4, 6, 7, 0, 3, 5, 2];
+    let pins: &[Pin] = &[
+        (
+            8,
+            24,
+            900.0,
+            EIGHT,
+            AffinityPolicy::Scatter,
+            &[
+                (84.59499568460171, 24.044647235346332),
+                (84.6980527568167, 24.044647235346332),
+                (87.71717152584395, 24.044647235346332),
+                (88.13456701933838, 24.044647235346332),
+                (88.21885951006581, 24.044647235346332),
+                (90.84550829447069, 24.044647235346332),
+                (91.52543731281716, 24.044647235346332),
+                (91.90823001327495, 24.044647235346332),
+            ],
+            1.1885975978801369,
+        ),
+        (
+            8,
+            24,
+            1400.0,
+            EIGHT,
+            AffinityPolicy::Scatter,
+            &[
+                (133.14106620338313, 35.783254574643095),
+                (133.30326407766, 35.783254574643095),
+                (138.05494813000757, 35.783254574643095),
+                (138.7118721073966, 35.783254574643095),
+                (138.84453707176672, 35.783254574643095),
+                (142.97852652193868, 35.783254574643095),
+                (144.04864271158638, 35.783254574643095),
+                (144.6511065791163, 35.783254574643095),
+            ],
+            1.8677158189051999,
+        ),
+        (
+            4,
+            24,
+            900.0,
+            &[1, 4, 6, 7],
+            AffinityPolicy::Scatter,
+            &[
+                (185.50811562260526, 35.783254574643095),
+                (185.73410917120077, 35.783254574643095),
+                (192.35472578274616, 35.783254574643095),
+                (193.27003112487543, 35.783254574643095),
+            ],
+            1.328259755756053,
+        ),
+        (
+            4,
+            24,
+            1400.0,
+            &[1, 4, 6, 7],
+            AffinityPolicy::Scatter,
+            &[
+                (308.05812778298866, 35.783254574643095),
+                (308.4334167520869, 35.783254574643095),
+                (319.42773229066324, 35.783254574643095),
+                (320.9477048756888, 35.783254574643095),
+            ],
+            1.328259755756053,
+        ),
+        (
+            8,
+            12,
+            900.0,
+            EIGHT,
+            AffinityPolicy::Scatter,
+            &[
+                (73.36868313059365, 35.783254574643095),
+                (73.45806385122042, 35.783254574643095),
+                (76.0765256940964, 35.783254574643095),
+                (76.43853005918326, 35.783254574643095),
+                (76.51163638175495, 35.783254574643095),
+                (78.78971158938144, 35.783254574643095),
+                (79.379409553128, 35.783254574643095),
+                (79.71140314349712, 35.783254574643095),
+            ],
+            1.343182388485965,
+        ),
+        (
+            8,
+            12,
+            1400.0,
+            EIGHT,
+            AffinityPolicy::Scatter,
+            &[
+                (133.14106620338313, 35.783254574643095),
+                (133.30326407766, 35.783254574643095),
+                (138.05494813000757, 35.783254574643095),
+                (138.7118721073966, 35.783254574643095),
+                (138.84453707176672, 35.783254574643095),
+                (142.97852652193868, 35.783254574643095),
+                (144.04864271158638, 35.783254574643095),
+                (144.6511065791163, 35.783254574643095),
+            ],
+            1.7263727764950132,
+        ),
+        (
+            6,
+            16,
+            900.0,
+            &[1, 4, 6, 7, 0, 3],
+            AffinityPolicy::Scatter,
+            &[
+                (110.59133551626415, 35.783254574643095),
+                (110.72606238938964, 35.783254574643095),
+                (114.67296697927569, 35.783254574643095),
+                (115.21862957657775, 35.783254574643095),
+                (115.32882544629912, 35.783254574643095),
+                (118.76265264433493, 35.783254574643095),
+            ],
+            1.4429122513990313,
+        ),
+        (
+            6,
+            16,
+            1400.0,
+            &[1, 4, 6, 7, 0, 3],
+            AffinityPolicy::Scatter,
+            &[
+                (191.27954451779067, 35.783254574643095),
+                (191.51256905633565, 35.783254574643095),
+                (198.33916273733473, 35.783254574643095),
+                (199.282944567847, 35.783254574643095),
+                (199.4735401119703, 35.783254574643095),
+                (205.41271156086282, 35.783254574643095),
+            ],
+            1.5713752547942563,
+        ),
+    ];
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
+    let cluster = Cluster::paper_testbed(5);
+    let app = suite::lu_mz();
+    for &(nodes, threads, budget_w, ids, policy, caps, perf) in pins {
+        let what = format!("{nodes}n x {threads}t at {budget_w} W");
+        let budget = Power::watts(budget_w);
+        let mut planning = cluster.clone();
+        let plan = plan_fixed(&mut planning, &app, budget, nodes, threads);
+        assert_eq!(plan.node_ids, ids, "{what}: node selection drifted");
+        assert_eq!(
+            plan.threads_per_node, threads,
+            "{what}: launch not honoured"
+        );
+        assert_eq!(plan.policy, policy, "{what}: affinity drifted");
+        assert_eq!(plan.caps.len(), caps.len(), "{what}: cap count");
+        for (got, &(cpu, dram)) in plan.caps.iter().zip(caps) {
+            assert!(
+                close(got.cpu.as_watts(), cpu),
+                "{what}: cpu cap {}",
+                got.cpu
+            );
+            assert!(
+                close(got.dram.as_watts(), dram),
+                "{what}: dram cap {}",
+                got.dram
+            );
+        }
+        assert!(plan.within_budget(budget), "{what}: over budget");
+        let mut exec = cluster.clone();
+        let report = execute_plan(&mut exec, &app, &plan, 2, 0, &mut clip_obs::NoopRecorder);
+        assert!(
+            close(report.performance(), perf),
+            "{what}: perf {}",
+            report.performance()
+        );
+    }
+}
